@@ -15,8 +15,9 @@ Two legs run the identical workload (same K updates, same values):
   (the K x L axpy reduction), per-layer dtype adoption, per-layer
   broadcast copies.
 * ``flat`` — the shipped path: :class:`repro.fl.Server` backed by a
-  :class:`~repro.fl.params.ParamPlane`, flat finite checks, the
-  ``(K, P)`` GEMM aggregation, one in-place plane write, and a
+  :class:`~repro.fl.params.ParamPlane`, flat finite checks, the pinned
+  row-sequential float64 fold over the K flat vectors (see
+  :mod:`repro.fl.aggregation`), one in-place plane write, and a
   single-memcpy broadcast (the process executor's segment protocol).
 
 Reported: rounds/sec per leg and the speedup; the acceptance bar is the
@@ -163,10 +164,10 @@ def _run(rounds: int = TIMED_ROUNDS, n_clients: int = N_CLIENTS):
         "host": {"cpus": os.cpu_count()},
         "rounds_per_sec": {
             "legacy_loop_path": round(legacy_rps, 2),
-            "flat_gemm_path": round(flat_rps, 2),
+            "flat_fold_path": round(flat_rps, 2),
         },
         "speedup": round(speedup, 3),
-        "loop_vs_gemm_max_abs_diff": max_abs_diff,
+        "loop_vs_fold_max_abs_diff": max_abs_diff,
     }
     save_json("hot_path", payload)
 
@@ -182,11 +183,11 @@ def _run(rounds: int = TIMED_ROUNDS, n_clients: int = N_CLIENTS):
         f"{payload['workload']['n_params']} params)",
         ["path", "rounds/sec", "speedup"],
         [["legacy loop", f"{legacy_rps:.1f}", "1.00x"],
-         ["flat GEMM", f"{flat_rps:.1f}", f"{speedup:.2f}x"]],
+         ["flat fold", f"{flat_rps:.1f}", f"{speedup:.2f}x"]],
     )
 
     assert max_abs_diff < 1e-4, (
-        f"loop vs GEMM aggregation diverged: max abs diff {max_abs_diff}")
+        f"loop vs fold aggregation diverged: max abs diff {max_abs_diff}")
     assert speedup >= 2.0, (
         f"flat hot path must be >=2x the loop path: got {speedup:.2f}x "
         f"({flat_rps:.1f} vs {legacy_rps:.1f} rounds/sec)")

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.nn.containers import Sequential
+from repro.nn.conv import Conv2d
 from repro.nn.module import Module
 
 __all__ = ["FedModel"]
@@ -45,6 +46,9 @@ class FedModel(Module):
         super().__init__()
         self.features = features
         self.head = head
+        # The input is data: a leading conv need not fold its gradient back.
+        if isinstance(features.layers[0], Conv2d):
+            features.layers[0].input_grad = False
         self.input_shape = tuple(input_shape)
         self.name = name
 
@@ -98,9 +102,13 @@ class FedModel(Module):
     # -- backward ----------------------------------------------------------------
     def backward(
         self, dlogits: np.ndarray, dfeatures: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    ) -> Optional[np.ndarray]:
         """Backpropagate ``dlogits`` (and optionally an extra gradient on the
-        representation, as MOON requires) down to the input."""
+        representation, as MOON requires) into every parameter's gradient.
+
+        Returns the gradient with respect to the input batch, or ``None``
+        when the first layer is a :class:`~repro.nn.conv.Conv2d`: that
+        layer's input is data, so it skips computing it."""
         dz = self.head.backward(dlogits)
         if dfeatures is not None:
             dz = dz + dfeatures

@@ -21,6 +21,12 @@ class Conv2d(Module):
     unfolds the input into patch rows (:func:`~repro.nn.functional.im2col`)
     and performs one matrix multiply — the single-big-BLAS-call strategy the
     HPC guide recommends over per-pixel Python loops.
+
+    ``input_grad`` says whether :meth:`backward` returns the gradient with
+    respect to the input.  A model's first layer sees the data batch, whose
+    gradient nobody reads, so :class:`~repro.models.fedmodel.FedModel` turns
+    it off there: ``backward`` then skips the ``dcols`` GEMM and
+    :func:`~repro.nn.functional.col2im` and returns ``None``.
     """
 
     def __init__(
@@ -45,6 +51,7 @@ class Conv2d(Module):
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Parameter(nn_init.kaiming_uniform(rng, shape), "weight")
         self.bias = Parameter(nn_init.zeros((out_channels,)), "bias") if bias else None
+        self.input_grad = True
         self._cols: Optional[np.ndarray] = None
         self._x_shape: Optional[Tuple[int, int, int, int]] = None
         self._out_hw: Optional[Tuple[int, int]] = None
@@ -59,14 +66,15 @@ class Conv2d(Module):
         cols, (oh, ow) = im2col(x, k, k, self.stride, self.padding)
         w_mat = self.weight.data.reshape(self.out_channels, -1).T  # (C*k*k, F)
         out = cols @ w_mat  # (N*oh*ow, F)
-        if self.bias is not None:
-            out += self.bias.data
         out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         if self.training:
             self._cols, self._x_shape, self._out_hw = cols, x.shape, (oh, ow)
-        return np.ascontiguousarray(out)
+        if self.bias is None:
+            return np.ascontiguousarray(out)
+        # The bias add doubles as the NCHW copy: one pass, same sums.
+        return np.add(out, self.bias.data[:, None, None], order="C")
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> Optional[np.ndarray]:
         if self._cols is None or self._x_shape is None or self._out_hw is None:
             raise RuntimeError("backward called without a cached training forward")
         n = self._x_shape[0]
@@ -76,10 +84,12 @@ class Conv2d(Module):
         self.weight.grad += (self._cols.T @ dout_mat).T.reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += dout_mat.sum(axis=0)
-        dcols = dout_mat @ self.weight.data.reshape(self.out_channels, -1)
-        dx = col2im(dcols, self._x_shape, k, k, self.stride, self.padding)
+        x_shape = self._x_shape
         self._cols = self._x_shape = self._out_hw = None
-        return dx
+        if not self.input_grad:
+            return None
+        dcols = dout_mat @ self.weight.data.reshape(self.out_channels, -1)
+        return col2im(dcols, x_shape, k, k, self.stride, self.padding)
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         c, h, w = input_shape

@@ -8,6 +8,7 @@ loops, per the HPC optimization guide).
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -71,27 +72,46 @@ def im2col(
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
     """Unfold ``(N, C, H, W)`` into patch rows for GEMM-based convolution.
 
-    Returns ``(cols, (oh, ow))`` where ``cols`` has shape
-    ``(N * oh * ow, C * kh * kw)``.  Built from a zero-copy strided view of
-    the padded input; the only copy is the final reshape into GEMM layout.
+    Returns ``(cols, (oh, ow))`` where ``cols`` is C-contiguous with shape
+    ``(N * oh * ow, C * kh * kw)``: one row per output pixel, sample-major,
+    columns in ``(C, kh, kw)`` order.  One ``np.take`` gathers every row
+    out of the flattened samples through a cached per-geometry index
+    (:func:`_patch_index`); zero padding is a single zero column appended to
+    the samples, so no padded copy of the input is ever built.
     """
     n, c, h, w = x.shape
+    idx = _patch_index(c, h, w, kh, kw, stride, padding)
+    flat = x.reshape(n, c * h * w)
+    if padding > 0:
+        flat = np.concatenate((flat, np.zeros((n, 1), dtype=x.dtype)), axis=1)
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    if padding > 0:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
+    # Every index is in range; mode="wrap" only skips the bounds-error path.
+    cols = flat.take(idx, axis=1, mode="wrap")
+    return cols.reshape(n * oh * ow, c * kh * kw), (oh, ow)
+
+
+@functools.lru_cache(maxsize=64)
+def _patch_index(
+    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
+) -> np.ndarray:
+    """Read-only flat source index of one sample's :func:`im2col` rows.
+
+    Entry ``(oy, ox, ci, i, j)`` (C order) points into the sample flattened
+    as ``(C, H, W)``; taps on the zero padding point one past its end, at
+    the zero column :func:`im2col` appends.
+    """
+    oh = conv_output_size(h, kh, stride, padding)
+    ow = conv_output_size(w, kw, stride, padding)
+    oy, ox, ci, i, j = np.ix_(
+        np.arange(oh), np.arange(ow), np.arange(c), np.arange(kh), np.arange(kw)
     )
-    # (N, oh, ow, C, kh, kw) -> rows ordered by sample then output pixel.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), (oh, ow)
+    row = oy * stride + i - padding
+    col = ox * stride + j - padding
+    inside = (row >= 0) & (row < h) & (col >= 0) & (col < w)
+    idx = np.where(inside, (ci * h + row) * w + col, c * h * w).reshape(-1)
+    idx.flags.writeable = False
+    return idx
 
 
 def col2im(
@@ -104,20 +124,21 @@ def col2im(
 ) -> np.ndarray:
     """Fold patch-row gradients back into an input-shaped gradient.
 
-    Inverse scatter-add of :func:`im2col`: overlapping windows accumulate.
+    Inverse scatter-add of :func:`im2col`: overlapping windows accumulate,
+    kernel offset by kernel offset in ``(i, j)`` order starting from zero.
+    The sums run in a padded ``(N, H, W, C)`` scratch, whose slices line up
+    with the ``(N, oh, ow, C)`` patch planes of ``cols``; one transposing
+    copy returns the C-contiguous ``(N, C, H, W)`` result.
     """
     n, c, h, w = x_shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dx_pad = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    # Accumulate per kernel offset; kh*kw iterations of fully vectorized adds.
+    dx_pad = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    patches = cols.reshape(n, oh, ow, c, kh, kw)
     for i in range(kh):
         i_max = i + stride * oh
         for j in range(kw):
             j_max = j + stride * ow
-            dx_pad[:, :, i:i_max:stride, j:j_max:stride] += patches[:, :, :, :, i, j]
-    if padding > 0:
-        return dx_pad[:, :, padding : padding + h, padding : padding + w]
-    return dx_pad
+            dx_pad[:, i:i_max:stride, j:j_max:stride] += patches[..., i, j]
+    dx = dx_pad[:, padding : padding + h, padding : padding + w]
+    return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,12 +26,37 @@ def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     )
 
 
+def _offset_slices(x: np.ndarray, k: int, stride: int) -> List[np.ndarray]:
+    """The ``k*k`` strided views ``x[:, :, i::stride, j::stride]``, each
+    ``(N, C, oh, ow)`` and cropped to the output grid, in row-major window
+    order: view ``i*k + j`` holds element ``(i, j)`` of every window."""
+    oh = conv_output_size(x.shape[2], k, stride, 0)
+    ow = conv_output_size(x.shape[3], k, stride, 0)
+    return [
+        x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+        for i in range(k)
+        for j in range(k)
+    ]
+
+
 class MaxPool2d(Module):
     """Max pooling with square windows.
 
-    When windows overlap (stride < kernel) and several windows share the same
-    argmax element the backward pass accumulates into it, matching the
-    standard scatter-add semantics.
+    The forward pass is a chain of ``np.maximum`` over the ``k*k`` window
+    offset slices (:func:`_offset_slices`), so no window is copied or
+    gathered.  The window's first maximum in row-major order wins, the
+    element ``np.argmax`` picks: the chain runs from the last offset to the
+    first, and ``np.maximum`` keeps its second operand when both compare
+    equal, so of tied ``+0.0``/``-0.0`` the earlier sign survives.  A NaN
+    wins its window, and the first NaN takes the window's gradient.
+
+    Training caches one first-match mask per offset; backward adds
+    ``where(mask, dout, 0)`` back through the same slices into a zeroed
+    gradient.  For non-overlapping windows (stride >= kernel, every pool in
+    the model zoo) that is exactly a scatter-add at the argmax.  When
+    windows overlap (stride < kernel) a cell shared by several windows
+    accumulates their gradients in offset order rather than window order,
+    which agrees with a scatter-add up to rounding.
     """
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
@@ -41,38 +66,41 @@ class MaxPool2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
         self._x_shape: Optional[Tuple[int, int, int, int]] = None
-        self._argmax: Optional[np.ndarray] = None
+        self._masks: Optional[List[np.ndarray]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        k, s = self.kernel_size, self.stride
-        win = _windows(x, k, s)
-        n, c, oh, ow = win.shape[:4]
-        flat = win.reshape(n, c, oh, ow, k * k)
-        idx = np.argmax(flat, axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        slices = _offset_slices(x, self.kernel_size, self.stride)
+        out = slices[-1].copy()
+        for s in reversed(slices[:-1]):
+            np.maximum(out, s, out=out)
         if self.training:
             self._x_shape = x.shape
-            self._argmax = idx
-        return np.ascontiguousarray(out)
+            self._masks = self._first_match_masks(slices, out)
+        return out
+
+    @staticmethod
+    def _first_match_masks(slices: List[np.ndarray], out: np.ndarray) -> List[np.ndarray]:
+        """Per offset, where that offset holds its window's first maximum
+        (the first NaN, in a window holding one)."""
+        has_nan = bool(np.isnan(out).any())
+        masks: List[np.ndarray] = []
+        taken = np.zeros(out.shape, dtype=bool)
+        for s in slices[:-1]:
+            hit = s == out
+            if has_nan:
+                hit |= np.isnan(s)
+            masks.append(hit > taken)  # a hit not taken by an earlier offset
+            taken |= hit
+        masks.append(~taken)
+        return masks
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._argmax is None or self._x_shape is None:
+        if self._masks is None or self._x_shape is None:
             raise RuntimeError("backward called without a cached training forward")
-        k, s = self.kernel_size, self.stride
-        n, c, h, w = self._x_shape
-        oh, ow = dout.shape[2], dout.shape[3]
         dx = np.zeros(self._x_shape, dtype=dout.dtype)
-        # Convert flat window argmax to absolute coordinates, then scatter-add.
-        ki = self._argmax // k
-        kj = self._argmax % k
-        oi = np.arange(oh)[None, None, :, None]
-        oj = np.arange(ow)[None, None, None, :]
-        rows = (oi * s + ki).reshape(-1)
-        cols = (oj * s + kj).reshape(-1)
-        ni = np.broadcast_to(np.arange(n)[:, None, None, None], self._argmax.shape).reshape(-1)
-        ci = np.broadcast_to(np.arange(c)[None, :, None, None], self._argmax.shape).reshape(-1)
-        np.add.at(dx, (ni, ci, rows, cols), dout.reshape(-1))
-        self._argmax = self._x_shape = None
+        for dx_s, mask in zip(_offset_slices(dx, self.kernel_size, self.stride), self._masks):
+            dx_s += np.where(mask, dout, 0)
+        self._masks = self._x_shape = None
         return dx
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -108,14 +136,11 @@ class AvgPool2d(Module):
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._x_shape is None:
             raise RuntimeError("backward called without a cached training forward")
-        k, s = self.kernel_size, self.stride
-        n, c, h, w = self._x_shape
-        oh, ow = dout.shape[2], dout.shape[3]
+        k = self.kernel_size
         dx = np.zeros(self._x_shape, dtype=dout.dtype)
         share = dout / (k * k)
-        for i in range(k):
-            for j in range(k):
-                dx[:, :, i : i + s * oh : s, j : j + s * ow : s] += share
+        for dx_s in _offset_slices(dx, k, self.stride):
+            dx_s += share
         self._x_shape = None
         return dx
 
