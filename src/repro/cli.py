@@ -63,8 +63,9 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
                    help="policy parameter, repeatable (e.g. dropout=0.2)")
     p.add_argument("--executor", default="auto", choices=available_executors(),
                    help="execution backend (auto = serial at 1 worker, "
-                        "threaded above; 'process' trains clients in a "
-                        "multiprocessing pool with shared-memory broadcast)")
+                        "threaded above; 'process' trains clients in worker "
+                        "processes, one pipe and one task in flight each, "
+                        "with shared-memory weight broadcast)")
     p.add_argument("--workers", "--n-workers", type=int, default=1, dest="workers",
                    help="worker count for the pooled backends")
     p.add_argument("--mode", default="sync", choices=available_modes(),

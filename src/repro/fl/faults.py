@@ -266,9 +266,9 @@ class StragglerFault(FaultInjector):
 
 
 class WorkerDeathFault(FaultInjector):
-    """The *worker* (not the modelled device) dies mid-task.  In a process
-    pool the worker really exits — exercising the executor's dead-worker
-    detection and the pool's respawn path; in-process backends synthesize
+    """The *worker* (not the modelled device) dies mid-task.  On the process
+    backend the worker really exits — exercising the executor's dead-worker
+    detection and respawn path; in-process backends synthesize
     the same ``"worker_death"`` failure, so a fixed seed yields the same
     History on every backend."""
 
@@ -276,9 +276,9 @@ class WorkerDeathFault(FaultInjector):
 
     def pre_train(self, task, runtime):
         if getattr(runtime, "in_pool_worker", False):
-            # Actually die.  The parent's ProcessExecutor notices the pid
-            # set change, waits out its grace window for unrelated in-flight
-            # tasks, and synthesizes this task's failure itself.
+            # Actually die.  The parent's ProcessExecutor sees this worker's
+            # sentinel fire (or its pipe hit EOF), synthesizes the failure
+            # of the one task it held, and starts a replacement worker.
             os._exit(1)
         return _failed_result(self._failure(task, "worker_death"))
 

@@ -3,10 +3,10 @@
 Training a client round is dominated by pure-Python tape/optimizer work that
 holds the GIL, so :class:`~repro.fl.executor.ThreadedExecutor` stops scaling
 almost immediately.  :class:`ProcessExecutor` sidesteps the GIL entirely: it
-trains clients in a persistent ``multiprocessing`` worker pool, and instead
-of pickling the full global model into every client task it broadcasts the
-weights **once per round** through a ``multiprocessing.shared_memory`` flat
-buffer:
+trains clients in persistent worker processes, each reached through one
+duplex pipe with at most one task in flight, and instead of pickling the
+full global model into every client task it broadcasts the weights **once
+per round** through a ``multiprocessing.shared_memory`` flat buffer:
 
 * the server side does **one** ``np.copyto`` per round into the shared
   segment (:meth:`ProcessExecutor.broadcast`): the engine's
@@ -17,7 +17,7 @@ buffer:
   reading the global weights is zero-copy — ``set_weights`` copies them into
   the worker's model exactly as the in-process backends do.
 
-Workers are initialized once per pool from a picklable
+Workers are initialized once per process from a picklable
 :class:`ProcessWorkerSpec` (dataset, strategy, config, model registry name)
 and rebuild their model/optimizer/clients locally with the same seeded RNG
 streams as the engine, so a fixed seed produces byte-identical round records
@@ -31,9 +31,11 @@ the segment while the parent writes it.
 from __future__ import annotations
 
 import pickle
+import traceback
 from dataclasses import dataclass, replace
-from time import monotonic
 from multiprocessing import get_all_start_methods, get_context, shared_memory
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,10 +68,10 @@ __all__ = ["WeightLayout", "ProcessWorkerSpec", "ProcessExecutor"]
 
 @dataclass
 class ProcessWorkerSpec:
-    """Everything a pool worker needs to rebuild its half of the engine.
+    """Everything a worker process needs to rebuild its half of the engine.
 
-    Must stay picklable: it crosses the process boundary exactly once, as
-    the pool initializer argument.
+    Must stay picklable: under ``spawn`` it crosses the process boundary
+    once per worker start, as the worker's argument.
     """
 
     data: FederatedData
@@ -201,7 +203,7 @@ def _init_worker(spec: ProcessWorkerSpec) -> None:
 
 
 def _run_task(job: Tuple[ClientTaskSpec, PayloadRef]) -> TaskResult:
-    """Pool task entry point; runs in the worker process."""
+    """Run one client task; runs in the worker process."""
     assert _WORKER is not None and _RUNTIME is not None, "worker not initialized"
     task, payload_ref = job
     _RUNTIME.server_broadcast = _resolve_payload(payload_ref)
@@ -214,8 +216,65 @@ def _run_task(job: Tuple[ClientTaskSpec, PayloadRef]) -> TaskResult:
     return result
 
 
+@dataclass
+class _TaskError:
+    """A task's exception on its way from a worker to the parent."""
+
+    exc: Exception
+    remote_traceback: str
+
+
+def _worker_main(conn: Connection, spec: ProcessWorkerSpec,
+                 parent_end: Connection) -> None:
+    """Worker process body: build once, then answer one job per message.
+
+    Every job gets exactly one reply: its :class:`TaskResult`, or the
+    exception it raised (re-raised by the parent, chained to the worker's
+    traceback).  ``None`` or a closed pipe ends the loop.
+    """
+    # A forked child inherits the parent's end of its own pipe; holding it
+    # would keep this worker from ever seeing EOF if the parent dies.
+    parent_end.close()
+    _init_worker(spec)
+    try:
+        while True:
+            job = conn.recv()
+            if job is None:
+                return
+            try:
+                reply: Any = _run_task(job)
+            except Exception as exc:  # noqa: BLE001 - re-raised by the parent
+                reply = _TaskError(exc, traceback.format_exc())
+                try:
+                    pickle.dumps(exc)
+                except Exception:  # noqa: BLE001 - keep its text instead
+                    reply.exc = RuntimeError(repr(exc))
+            conn.send(reply)
+    except (EOFError, OSError):
+        return  # the parent went away
+
+
+def _worker_death(task: ClientTaskSpec) -> TaskResult:
+    return TaskResult(
+        update=None,
+        state=None,
+        failure=TaskFailure(
+            kind="worker_death",
+            client_id=task.client_id,
+            round_idx=task.round_idx,
+            attempt=task.attempt,
+            detail="pool worker died before reporting",
+        ),
+    )
+
+
 class ProcessExecutor:
-    """Train client tasks in a ``multiprocessing`` pool.
+    """Train client tasks in ``n_workers`` persistent worker processes.
+
+    Each worker is a plain :class:`multiprocessing.Process` with one duplex
+    :func:`~multiprocessing.Pipe` and at most one task in flight, so the
+    parent always knows which task a worker holds: a worker that dies costs
+    exactly that task (a ``worker_death`` failure) and is respawned at once.
 
     Parameters
     ----------
@@ -226,16 +285,10 @@ class ProcessExecutor:
         The engine's global weight tree; defines the shared segment layout
         and seeds its first broadcast.
     n_workers:
-        Pool size.
+        Number of worker processes.
     mp_start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; default prefers
         ``fork`` where available (no re-import cost), else ``spawn``.
-    death_grace_s:
-        How long :meth:`run` waits, after observing a pool worker die and
-        with no further task completing, before writing the missing results
-        off as ``worker_death`` task failures.  ``multiprocessing.Pool``
-        silently respawns dead workers but never completes the task the
-        victim was holding, so without this ``run`` would hang forever.
     """
 
     name = "process"
@@ -246,11 +299,9 @@ class ProcessExecutor:
         initial_weights: Sequence[np.ndarray],
         n_workers: int = 2,
         mp_start_method: Optional[str] = None,
-        death_grace_s: float = 5.0,
     ) -> None:
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
-        self._n_workers = n_workers
         if isinstance(initial_weights, ParamPlane):
             layout = initial_weights.layout
         else:
@@ -268,16 +319,19 @@ class ProcessExecutor:
         self.broadcast(initial_weights)
         if mp_start_method is None:
             mp_start_method = "fork" if "fork" in get_all_start_methods() else "spawn"
-        ctx = get_context(mp_start_method)
-        spec = replace(spec, shm_name=self._shm.name, layout=layout)
-        self._pool = ctx.Pool(n_workers, initializer=_init_worker, initargs=(spec,))
-        self._death_grace_s = death_grace_s
-        self._known_pids = self._live_pids()
+        self._ctx = get_context(mp_start_method)
+        self._spec = replace(spec, shm_name=self._shm.name, layout=layout)
+        self._procs: List[BaseProcess] = []
+        self._conns: List[Connection] = []
         self._closed = False
+        for slot in range(n_workers):
+            proc, conn = self._start_worker(slot)
+            self._procs.append(proc)
+            self._conns.append(conn)
 
     @property
     def n_workers(self) -> int:
-        return self._n_workers
+        return len(self._procs)
 
     def borrow_worker(self) -> Optional[WorkerContext]:
         """Worker contexts live in other processes; there is nothing to lend."""
@@ -324,82 +378,100 @@ class ProcessExecutor:
                 pass
             self._payload_shm = None
 
-    def _live_pids(self) -> set:
-        """Pids of currently-alive pool workers.
+    def _start_worker(self, slot: int) -> Tuple[BaseProcess, Connection]:
+        """Start a worker process for ``slot``; return it and its pipe end."""
+        parent_end, child_end = self._ctx.Pipe(duplex=True)
+        proc = self._ctx.Process(
+            target=_worker_main, args=(child_end, self._spec, parent_end),
+            name=f"fl-process-worker-{slot}", daemon=True,
+        )
+        proc.start()
+        child_end.close()
+        return proc, parent_end
 
-        Reads the pool's worker roster (``Pool`` keeps it in ``_pool``);
-        the roster mutates under us when the pool's maintenance thread
-        respawns a dead worker, so snapshot it before filtering.
-        """
-        return {p.pid for p in list(self._pool._pool) if p.is_alive()}
+    def _retire(self, slot: int, kill: bool = True) -> None:
+        """Reap the worker in ``slot``; ``kill`` stops it if it still runs."""
+        proc = self._procs[slot]
+        if kill:
+            proc.terminate()  # a no-op on a reaped process
+        proc.join()
+        proc.close()
+        self._conns[slot].close()
+
+    def _replace(self, slot: int) -> None:
+        self._retire(slot)
+        self._procs[slot], self._conns[slot] = self._start_worker(slot)
 
     def run(self, tasks: Sequence[ClientTaskSpec]) -> List[TaskResult]:
-        """Run ``tasks`` on the pool, surviving worker deaths.
+        """Run ``tasks`` on the workers and return results in task order.
 
-        Dispatches one ``apply_async`` per task (instead of ``Pool.map``,
-        which blocks forever if a worker dies holding a task) and polls for
-        completions.  When the worker roster changes mid-round, the task a
-        dead worker was executing can never complete; once no further task
-        has completed for ``death_grace_s`` seconds, every still-pending
-        task is synthesized as a ``worker_death``
-        :class:`~repro.fl.faults.TaskFailure` so the engine's retry/quorum
-        policy decides what happens next.  The pool itself respawns
-        replacement workers automatically (and each replacement re-runs the
-        initializer), so later rounds run at full width again.
+        Tasks go out in order, one at a time, to whichever worker is idle;
+        each worker holds at most one.  Two in flight could deadlock: the
+        parent blocked writing a task into a full pipe while the worker is
+        blocked writing a result the parent is not reading.  The parent
+        sleeps in :func:`multiprocessing.connection.wait` on the busy
+        workers' pipes and process sentinels.  A worker whose sentinel fires
+        or whose pipe breaks is dead: its one task becomes a
+        ``worker_death`` :class:`~repro.fl.faults.TaskFailure` (the engine's
+        retry/quorum policy decides what happens next) and a replacement
+        worker starts before the next task goes out.
         """
-        jobs = [
-            self._pool.apply_async(_run_task, ((t, self._payload_ref),))
-            for t in tasks
-        ]
-        results: List[Optional[TaskResult]] = [None] * len(jobs)
-        pending = list(range(len(jobs)))
-        last_progress = monotonic()
-        death_seen = False
-        while pending:
-            still: List[int] = []
-            for i in pending:
-                if jobs[i].ready():
-                    results[i] = jobs[i].get()
-                    last_progress = monotonic()
-                else:
-                    still.append(i)
-            pending = still
-            if not pending:
-                break
-            current = self._live_pids()
-            if current != self._known_pids:
-                death_seen = True
-                self._known_pids = current
-            if death_seen and monotonic() - last_progress > self._death_grace_s:
-                for i in pending:
-                    task = tasks[i]
-                    # Drop the orphaned job from the pool's result cache:
-                    # a job that never completes would otherwise pin the
-                    # pool's shutdown (join waits for an empty cache).  If
-                    # the result does arrive later the handler ignores the
-                    # unknown job id.
-                    self._pool._cache.pop(jobs[i]._job, None)
-                    results[i] = TaskResult(
-                        update=None,
-                        state=None,
-                        failure=TaskFailure(
-                            kind="worker_death",
-                            client_id=task.client_id,
-                            round_idx=task.round_idx,
-                            attempt=task.attempt,
-                            detail="pool worker died before reporting",
-                        ),
-                    )
-                break
-            jobs[pending[0]].wait(0.05)
+        results: List[Optional[TaskResult]] = [None] * len(tasks)
+        idle = list(range(len(self._procs)))
+        busy: Dict[int, int] = {}  # worker slot -> task index
+
+        def died(slot: int) -> None:
+            i = busy.pop(slot)
+            results[i] = _worker_death(tasks[i])
+            self._replace(slot)
+            idle.append(slot)
+
+        next_task = 0
+        try:
+            while True:
+                while idle and next_task < len(tasks):
+                    slot = idle.pop()
+                    busy[slot] = next_task
+                    next_task += 1
+                    try:
+                        self._conns[slot].send((tasks[busy[slot]], self._payload_ref))
+                    except OSError:  # BrokenPipeError: it died between tasks
+                        died(slot)
+                if not busy:  # every task dispatched and answered
+                    break
+                owner = {}
+                for slot in busy:
+                    owner[self._conns[slot]] = slot
+                    owner[self._procs[slot].sentinel] = slot
+                for slot in {owner[obj] for obj in wait(list(owner))}:
+                    try:
+                        reply = self._conns[slot].recv()
+                    except (EOFError, OSError):
+                        died(slot)
+                        continue
+                    i = busy.pop(slot)
+                    idle.append(slot)
+                    if isinstance(reply, _TaskError):
+                        raise reply.exc from RuntimeError(reply.remote_traceback)
+                    results[i] = reply
+        finally:
+            # Only an exception leaves tasks in flight; their results would
+            # answer a later run's tasks, so those workers are replaced.
+            for slot in busy:
+                self._replace(slot)
         return results  # type: ignore[return-value]  # every slot is filled
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        self._pool.close()
-        self._pool.join()
+        for conn in self._conns:
+            try:
+                conn.send(None)
+            except OSError:  # already dead
+                pass
+        for slot in range(len(self._procs)):
+            self._retire(slot, kill=False)
         self._drop_payload_segment()
         # Views hold exported buffers; release them before closing the segment.
         self._views = None

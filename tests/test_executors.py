@@ -4,7 +4,10 @@ serial, threaded and process executors)."""
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
+from dataclasses import replace
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from repro.api import (
 )
 from repro.api.engine import Engine
 from repro.fl.executor import ClientTaskSpec, SerialExecutor
+from repro.fl.faults import FaultInjector
 from repro.fl.process_executor import ProcessExecutor, WeightLayout
 
 TINY = dict(dataset="tiny", model="mlp", method="fedavg", n_clients=4,
@@ -233,3 +237,90 @@ class TestProcessExecutorContracts:
                 engine.executor.broadcast(engine.server.weights[:-1])
         finally:
             engine.close()
+
+
+class _RaiseFor(FaultInjector):
+    """Raises ``ValueError`` inside the task of client ``victim``."""
+
+    name = "raise_for"
+
+    def __init__(self, victim: int) -> None:
+        super().__init__(rate=1.0, seed=0)
+        self.victim = victim
+
+    def fires(self, client_id, round_idx, attempt=0):
+        return client_id == self.victim
+
+    def pre_train(self, task, runtime):
+        raise ValueError(f"boom in client {task.client_id}")
+
+
+class TestProcessExecutorLifecycle:
+    @staticmethod
+    def _engine(**overrides):
+        spec = tiny_spec(**overrides)
+        return Engine(spec.build_data(), spec.build_strategy(), spec.build_config(),
+                      model_name="mlp")
+
+    def test_close_stops_workers_and_unlinks_both_segments(self):
+        engine = self._engine()
+        executor = ProcessExecutor(engine.process_worker_spec(),
+                                   initial_weights=engine.server.plane, n_workers=2)
+        try:
+            # any non-empty payload gets its own segment; fedavg ignores it
+            executor.broadcast(engine.server.plane, payload={"c": [np.ones(3)]})
+            executor.run([ClientTaskSpec(client_id=k, round_idx=0, state={})
+                          for k in range(2)])
+            pids = {p.pid for p in executor._procs}
+            segments = [executor._shm.name, executor._payload_shm.name]
+        finally:
+            executor.close()
+            engine.close()
+        assert len(pids) == 2
+        assert not pids & {p.pid for p in multiprocessing.active_children()}
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+        executor.close()  # a second close is a no-op
+        assert not pids & {p.pid for p in multiprocessing.active_children()}
+
+    def test_task_exception_reraises_and_executor_recovers(self):
+        engine = self._engine(n_clients=6)
+        executor = ProcessExecutor(
+            replace(engine.process_worker_spec(), fault_injector=_RaiseFor(3)),
+            initial_weights=engine.server.plane, n_workers=2,
+        )
+        tasks = [ClientTaskSpec(client_id=k, round_idx=0, state={}) for k in range(6)]
+        try:
+            with pytest.raises(ValueError, match="boom in client 3") as info:
+                executor.run(tasks)
+            assert "pre_train" in str(info.value.__cause__)  # worker traceback
+            results = executor.run([t for t in tasks if t.client_id != 3])
+            assert [r.update.client_id for r in results] == [0, 1, 2, 4, 5]
+        finally:
+            executor.close()
+            engine.close()
+
+    def test_spawn_start_method_matches_serial(self):
+        """Workers started with ``spawn`` rebuild everything from the pickled
+        spec instead of inheriting the parent's memory; the History must
+        still match serial byte for byte."""
+
+        def _spawn_process(engine, n_workers):
+            executor = ProcessExecutor(engine.process_worker_spec(),
+                                       initial_weights=engine.server.plane,
+                                       n_workers=n_workers, mp_start_method="spawn")
+            assert executor._ctx.get_start_method() == "spawn"
+            return executor
+
+        register_executor("process_spawn", _spawn_process)
+        try:
+            spec = tiny_spec(method="fedtrip", overrides={"mu": 0.4}, rounds=2)
+            reference = run_experiment(spec.with_axis("executor", "serial"))
+            hist = run_experiment(spec.with_axis("executor", "process_spawn")
+                                  .with_axis("n_workers", 2))
+        finally:
+            from repro.api.registry import _EXECUTORS
+
+            _EXECUTORS.pop("process_spawn", None)
+        assert_identical_records(reference, hist, context="spawn")

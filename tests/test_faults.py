@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 import os
+import signal
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.api import ExperimentSpec, run_experiment
 from repro.api.callbacks import Callback, Checkpointer
 from repro.api.engine import Engine
 from repro.api.registry import build_mode
+from repro.fl.executor import ClientTaskSpec
 from repro.fl.faults import (
     CrashFault,
     FaultInjector,
@@ -25,6 +28,7 @@ from repro.fl.faults import (
     register_fault,
     _FAULTS,
 )
+from repro.fl.process_executor import ProcessExecutor
 from repro.io import persistence
 from repro.io.persistence import (
     load_engine_snapshot,
@@ -530,12 +534,34 @@ class TestCrashSafeResume:
 # process worker death
 # ---------------------------------------------------------------------------
 
+class _KillClient(FaultInjector):
+    """Kills the worker process that trains ``victim`` (one task only)."""
+
+    name = "kill_client"
+
+    def __init__(self, victim: int) -> None:
+        super().__init__(rate=1.0, seed=0)
+        self.victim = victim
+
+    def fires(self, client_id, round_idx, attempt=0):
+        return client_id == self.victim
+
+    def pre_train(self, task, runtime):
+        assert runtime.in_pool_worker, "this fault only runs in a worker"
+        os._exit(1)
+
+
+def _hung(signum, frame):
+    raise TimeoutError("ProcessExecutor.run did not return")
+
+
 class TestProcessWorkerDeath:
     def test_dead_worker_surfaces_failure_and_matches_serial(self):
-        """``worker_death`` on the process backend really kills pool
-        workers; the executor must detect the deaths (no hang), let the
-        pool respawn, and synthesize failures that keep the History
-        byte-identical to the serial backend's synthesized path."""
+        """``worker_death`` on the process backend really kills worker
+        processes; the executor must detect each death from the worker's
+        sentinel or broken pipe (no hang), respawn it, and synthesize
+        failures that keep the History byte-identical to the serial
+        backend's synthesized path."""
         base = {**TINY, "rounds": 2, "fault": "worker_death",
                 "fault_rate": 0.4, "task_retries": 1}
         reference = run_experiment(ExperimentSpec(**base))
@@ -544,10 +570,73 @@ class TestProcessWorkerDeath:
         spec = ExperimentSpec(**{**base, "executor": "process", "n_workers": 2})
         engine = build_mode(spec.mode, spec=spec, data=spec.build_data())
         try:
-            # shrink the detection grace so the test stays fast; tasks here
-            # take milliseconds, so two seconds of silence is unambiguous
-            engine.executor._death_grace_s = 2.0
             hist = engine.run()
         finally:
             engine.close()
         assert _sig(hist, virtual=True) == _sig(reference, virtual=True)
+
+    def test_only_the_dead_workers_task_fails(self):
+        """A worker dies while the other is busy and tasks are still
+        waiting to go out: exactly the victim's task comes back as
+        ``worker_death``, every other task returns the update the serial
+        backend trains, in task order, and the replacement worker serves
+        the next run."""
+        spec = ExperimentSpec(**{**TINY, "n_clients": 8})
+        engine = Engine(spec.build_data(), spec.build_strategy(),
+                        spec.build_config(), model_name="mlp")
+        tasks = [ClientTaskSpec(client_id=k, round_idx=0, state={})
+                 for k in range(8)]
+        victim = 2
+        executor = ProcessExecutor(
+            replace(engine.process_worker_spec(), fault_injector=_KillClient(victim)),
+            initial_weights=engine.server.plane, n_workers=2,
+        )
+        try:
+            reference = engine.executor.run(tasks)
+            results = executor.run(tasks)
+            for task, got, want in zip(tasks, results, reference):
+                if task.client_id == victim:
+                    assert got.update is None
+                    assert got.failure.kind == "worker_death"
+                    assert got.failure.client_id == victim
+                    continue
+                assert got.failure is None
+                assert got.update.client_id == task.client_id
+                for a, b in zip(got.update.weights, want.update.weights):
+                    assert a.tobytes() == b.tobytes()
+            assert sum(p.is_alive() for p in executor._procs) == executor.n_workers
+            again = executor.run([t for t in tasks if t.client_id != victim])
+            assert [r.update.client_id for r in again] == \
+                [k for k in range(8) if k != victim]
+        finally:
+            executor.close()
+            engine.close()
+
+    def test_worker_killed_between_runs_costs_one_task_and_no_hang(self):
+        """Workers that die while idle are found when a task is sent to
+        them: that task comes back as ``worker_death``, the run ends (it
+        must not wait on an empty set of busy workers) and replacements
+        serve the next run."""
+        spec = ExperimentSpec(**TINY)
+        engine = Engine(spec.build_data(), spec.build_strategy(),
+                        spec.build_config(), model_name="mlp")
+        executor = ProcessExecutor(engine.process_worker_spec(),
+                                   initial_weights=engine.server.plane, n_workers=2)
+        previous = signal.signal(signal.SIGALRM, _hung)
+        signal.alarm(60)
+        try:
+            for proc in executor._procs:
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(10)
+                assert not proc.is_alive()
+            task = ClientTaskSpec(client_id=1, round_idx=0, state={})
+            [result] = executor.run([task])
+            assert result.failure.kind == "worker_death"
+            assert result.failure.client_id == 1
+            [result] = executor.run([task])
+            assert result.failure is None and result.update.client_id == 1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            executor.close()
+            engine.close()
